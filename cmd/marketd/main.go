@@ -23,49 +23,57 @@
 //	GET /v1/asof/timeline     one prefix's full history, ?prefix=  (JSON)
 //	GET /v1/asof/diff         events between dates, ?from=&to=     (JSON)
 //	GET /v1/history           persisted generations      (JSON, needs -data-dir)
+//	GET /v1/scenarios         the worlds this process serves (JSON)
 //	GET /healthz /readyz /varz
+//
+// marketd has one serving path: a scenario registry (internal/scenario)
+// holding one world per scenario. With -scenarios dir/ every *.json spec
+// in the directory (name, seed, scale, adversarial knobs — price shocks,
+// RPKI churn storms, hijack waves, a utilization profile) becomes an
+// isolated world served under /v1/{scenario}/... with the full artifact
+// and asof surface, persisted under -data-dir/{scenario} with its own
+// generation ratchet; -seed conflicts with -scenarios (seeds come from
+// the specs). Without -scenarios the registry holds one implicit world,
+// "default", built from the flags; it persists at the -data-dir root and
+// follows the leader's bare /v1/replication/... URLs, the single-world
+// layout on disk and on the wire. Either way bare /v1/... paths alias
+// the default world. See docs/API.md.
 //
 // With -data-dir the server is durable: every successful build is
 // appended to an on-disk snapshot store (internal/store), a restart
-// warm-starts from the newest intact generation (serving immediately,
-// with a fresh build in the background), -store-keep bounds retention,
-// and ?gen=N on the artifact endpoints pins a read to a stored
-// generation with its original bytes and ETag.
+// warm-starts every world from its newest intact generation, -store-keep
+// bounds retention, and ?gen=N on the artifact endpoints pins a read to
+// a stored generation with its original bytes and ETag. A leader world
+// that warm-started serves at once and starts one fresh build in the
+// background; a cold-built world is already current and does not.
+// SIGHUP rebuilds every world, each with its own config.
 //
 // With -data-dir the server is also a replication leader: it exposes
 // GET /v1/replication/generations (the sealed-segment catalog) and
 // GET /v1/replication/segment/{gen} (raw segment bytes with ETag and
-// Range support). A second marketd started with -follow <leader-url>
-// runs as a follower: it never builds locally, pulls the leader's
-// segments into its own -data-dir (verified, atomic, quarantining
-// corrupt downloads), and serves byte- and ETag-identical responses.
-// Followers poll every -poll-interval, back off with jitter when the
-// leader is unreachable, keep serving their last good generation in the
-// meantime, and answer 409 on POST /admin/rebuild. See internal/replicate.
-// A follower's -max-lag gates its /readyz on replication lag — an
-// integer bounds generations behind the leader, a duration bounds time
-// since the last successful sync — so a router polling /readyz drains
-// stale followers while they keep serving direct clients.
+// Range support) for each world. A second marketd started with -follow
+// <leader-url> and the same -scenarios runs as a follower: it never
+// builds locally, pulls every world's segments into its own -data-dir
+// (verified, atomic, quarantining corrupt downloads), and serves byte-
+// and ETag-identical responses. Followers poll every -poll-interval
+// (their first sync retries on the same period), back off with jitter
+// when the leader is unreachable, keep serving their last good
+// generation in the meantime, and answer 409 on POST /admin/rebuild. See
+// internal/replicate. A follower's -max-lag gates its /readyz on
+// replication lag — an integer bounds generations behind the leader, a
+// duration bounds time since the last successful sync — so a router
+// polling /readyz drains stale followers while they keep serving direct
+// clients.
 //
-// With -scenarios dir/ the server hosts a whole scenario matrix: every
-// *.json spec in the directory (name, seed, scale, adversarial knobs —
-// price shocks, RPKI churn storms, hijack waves, a utilization profile)
-// becomes an isolated world served under /v1/{scenario}/... with the
-// full artifact and asof surface; bare /v1/... paths alias the default
-// scenario so single-scenario clients keep working. Each scenario
-// persists under -data-dir/{scenario} with its own generation ratchet,
-// and followers mirror every scenario's segment stream. GET
-// /v1/scenarios lists the matrix; -seed conflicts with -scenarios
-// (seeds come from the specs). See internal/scenario and docs/API.md.
-//
-// -selfcheck boots the server on a loopback port, queries the key
-// endpoints through a real HTTP client, and exits; scripts/check.sh uses
-// it as the smoke test. With -data-dir it additionally proves the
-// restart path: it shuts the first server down, re-verifies every
-// on-disk segment checksum, warm-starts a second server over the same
-// directory, and asserts body and ETag continuity. With -scenarios it
-// walks the matrix instead: every scenario's surface, the default
-// alias, cross-scenario isolation, and per-scenario gen pinning.
+// -selfcheck boots the server on a loopback port, queries it through a
+// real HTTP client, and exits; scripts/check.sh uses it as the smoke
+// test. It walks the default world's bare surface, every world's
+// /v1/{scenario}/... surface, the listing, the default alias, and seed
+// isolation between worlds. With -data-dir it also pins ?gen= reads per
+// world, then proves the restart path for every world: it shuts the
+// server down, re-verifies every on-disk segment checksum, warm-starts a
+// second registry over the same directory, and asserts body and ETag
+// continuity.
 package main
 
 import (
@@ -80,13 +88,13 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
-	"ipv4market/internal/replicate"
+	"ipv4market/internal/scenario"
 	"ipv4market/internal/serve"
 	"ipv4market/internal/simulation"
-	"ipv4market/internal/store"
 )
 
 func main() {
@@ -96,7 +104,10 @@ func main() {
 	}
 }
 
-func run(w io.Writer, args []string) error {
+func run(out io.Writer, args []string) error {
+	// Worlds build, rebuild and log concurrently; one Fprintf is one
+	// Write, so serializing writes keeps every line whole.
+	w := &lockedWriter{w: out}
 	fs := flag.NewFlagSet("marketd", flag.ContinueOnError)
 	var (
 		listen    = fs.String("listen", "127.0.0.1:8090", "listen address")
@@ -145,173 +156,95 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("marketd: -selfcheck and -follow are mutually exclusive (selfcheck the leader instead)")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	specs := []scenario.Spec{scenario.Implicit(cfg.Seed)}
 	if *scenDir != "" {
 		if *seed != 0 {
 			return fmt.Errorf("marketd: -seed conflicts with -scenarios (each scenario spec carries its own seed)")
 		}
-		return runScenarios(ctx, w, scenarioSettings{
-			dir:       *scenDir,
-			listen:    *listen,
-			dataDir:   *dataDir,
-			follow:    *follow,
-			baseCfg:   cfg,
-			timeout:   *timeout,
-			drain:     *drain,
-			pollEvery: *pollEvery,
-			admin:     *admin,
-			selfcheck: *selfcheck,
-			workers:   *workers,
-			storeKeep: *storeKeep,
-			lagGate:   *maxLag != "",
-			lagGens:   maxLagGens,
-			lagAge:    maxLagAge,
-		})
+		if specs, err = scenario.LoadDir(*scenDir); err != nil {
+			return fmt.Errorf("marketd: %w", err)
+		}
+		fmt.Fprintf(w, "marketd: scenario matrix: %d spec(s) from %s, default %q\n",
+			len(specs), *scenDir, scenario.DefaultName(specs))
+	}
+	if *maxLag != "" {
+		fmt.Fprintf(w, "marketd: follower: /readyz gated at max lag %s\n", *maxLag)
 	}
 
-	opts := serve.Options{
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	opts := scenario.Options{
+		BaseCfg:      cfg,
+		DataDir:      *dataDir,
+		StoreKeep:    *storeKeep,
 		Timeout:      *timeout,
 		EnableAdmin:  *admin || *selfcheck,
 		BuildWorkers: *workers,
-		StoreKeep:    *storeKeep,
-		WarmStart:    true,
+		FollowURL:    *follow,
+		PollInterval: *pollEvery,
+		LagGate:      *maxLag != "",
+		MaxLagGens:   maxLagGens,
+		MaxLagAge:    maxLagAge,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
+			fmt.Fprintf(w, "marketd: "+format+"\n", args...)
 		},
 	}
-	var st *store.Store
-	if *dataDir != "" {
-		var err error
-		st, err = store.Open(*dataDir)
-		if err != nil {
-			return fmt.Errorf("marketd: open store: %w", err)
-		}
-		opts.Store = st
-		stats := st.Stats()
-		fmt.Fprintf(w, "marketd: store %s: %d generation(s), %d bytes", *dataDir, stats.Segments, stats.Bytes)
-		if stats.TruncatedTails > 0 {
-			fmt.Fprintf(w, " (%d corrupt segment(s) quarantined)", stats.TruncatedTails)
-		}
-		fmt.Fprintln(w)
-	}
-
-	// Every store-backed marketd is a replication leader (followers can
-	// chain from followers); a -follow process is additionally a
-	// follower, and its /varz replication section reports that role.
-	var leader *replicate.Leader
-	if st != nil {
-		leader = replicate.NewLeader(st)
-		opts.ReplicationVarz = leader.Varz
-	}
-	var repl *replicate.Replicator
-	if follower {
-		var err error
-		repl, err = replicate.New(replicate.Options{
-			LeaderURL: *follow,
-			Store:     st,
-			Interval:  *pollEvery,
-			Keep:      *storeKeep,
-			Logf:      opts.Logf,
-		})
-		if err != nil {
-			return fmt.Errorf("marketd: %w", err)
-		}
-		opts.Follower = true
-		opts.ReplicationVarz = repl.Varz
-		if *maxLag != "" {
-			opts.ReadyCheck = repl.ReadyCheck(maxLagGens, maxLagAge)
-			fmt.Fprintf(w, "marketd: follower: /readyz gated at max lag %s\n", *maxLag)
-		}
-		// Serving needs at least one generation; sync until we have one
-		// (or the process is told to stop). The leader being down — or
-		// up but empty — at follower boot is expected; keep trying.
-		for {
-			if _, ok := st.Latest(); ok {
-				break
-			}
-			fmt.Fprintf(w, "marketd: follower: syncing initial generation from %s...\n", *follow)
-			if err := repl.SyncOnce(ctx); err != nil && ctx.Err() == nil {
-				fmt.Fprintf(w, "marketd: follower: initial sync failed (will retry in %s): %v\n", *pollEvery, err)
-			}
-			if _, ok := st.Latest(); ok {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("marketd: follower: interrupted before first sync")
-			case <-time.After(*pollEvery):
-			}
-		}
-	}
-
-	build := time.Now()
-	if !follower {
-		fmt.Fprintf(w, "marketd: building snapshot (seed=%d lirs=%d days=%d)...\n", cfg.Seed, cfg.NumLIRs, cfg.RoutingDays)
-	}
-	srv, err := serve.New(cfg, opts)
+	start := time.Now()
+	reg, err := scenario.New(ctx, specs, opts)
 	if err != nil {
-		return err
+		return fmt.Errorf("marketd: %w", err)
 	}
-	snap := srv.Snapshot()
-	switch {
-	case follower:
-		fmt.Fprintf(w, "marketd: follower of %s: serving generation %d (seed=%d, built %s)\n",
-			*follow, snap.Gen, snap.Cfg.Seed, snap.BuiltAt.UTC().Format(time.RFC3339))
-	case srv.WarmStarted():
-		fmt.Fprintf(w, "marketd: warm start: restored generation %d (seed=%d, built %s) in %v; serving now\n",
-			snap.Gen, snap.Cfg.Seed, snap.BuiltAt.UTC().Format(time.RFC3339), time.Since(build).Round(time.Millisecond))
-	default:
-		fmt.Fprintf(w, "marketd: snapshot ready in %v (%d workers): %d transfers, %d price cells, %d delegations\n",
-			time.Since(build).Round(time.Millisecond), snap.Workers, snap.TransferTotal(), len(snap.PriceCells), snap.Delegations.Len())
+	for _, name := range reg.Names() {
+		srv := reg.World(name)
+		snap := srv.Snapshot()
+		how := "built"
+		switch {
+		case follower:
+			how = "follower: synced"
+		case srv.WarmStarted():
+			how = "warm start: restored"
+		}
+		fmt.Fprintf(w, "marketd: [%s] %s generation %d (seed=%d, built %s): %d transfers, %d price cells, %d delegations\n",
+			name, how, snap.Gen, snap.Cfg.Seed, snap.BuiltAt.UTC().Format(time.RFC3339),
+			snap.TransferTotal(), len(snap.PriceCells), snap.Delegations.Len())
 	}
-
-	if leader != nil {
-		srv.Mount(replicate.PatternGenerations, leader.Generations(), *timeout)
-		// Segment bodies can be large; 0 disables the timeout middleware
-		// so a slow follower's download is never cut mid-stream.
-		srv.Mount(replicate.PatternSegment, leader.Segment(), 0)
-	}
+	fmt.Fprintf(w, "marketd: %d world(s) ready in %v\n", len(reg.Names()), time.Since(start).Round(time.Millisecond))
 
 	if *selfcheck {
-		return runSelfcheck(w, srv, *drain, *dataDir, cfg, opts)
-	}
-
-	if follower {
-		// From here on every new generation the replicator installs is
-		// hot-swapped into the serving layer. The loop's first pass may
-		// re-adopt the generation serve.New just restored; the swap is
-		// idempotent.
-		repl.SetApply(func(m store.Meta) error { return srv.AdoptGeneration(m.Gen) })
-	} else if srv.WarmStarted() && srv.RebuildAsync(cfg) {
-		// A warm-started leader is serving yesterday's data by design;
-		// kick off a fresh build in the background so it converges on a
-		// current snapshot without delaying the first request.
-		fmt.Fprintln(w, "marketd: fresh rebuild started in background")
+		return runSelfcheck(w, reg, specs, opts, *drain)
 	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fmt.Errorf("marketd: listen: %w", err)
 	}
-	fmt.Fprintf(w, "marketd: serving on http://%s\n", ln.Addr())
-
 	if follower {
-		go repl.Run(ctx)
+		reg.Run(ctx)
 	} else {
+		refreshWarmWorlds(w, reg)
 		// SIGHUP rebuilds are a leader affordance; a follower's snapshots
 		// only ever come from its leader.
-		watchHUP(ctx, w, srv, cfg)
+		rebuildOnHUP(ctx, w, reg)
 	}
-
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	if err := serve.Serve(ctx, httpSrv, ln, *drain); err != nil {
+	fmt.Fprintf(w, "marketd: serving on http://%s\n", ln.Addr())
+	if err := serveOn(ctx, ln, reg, *drain); err != nil {
 		return err
 	}
-	srv.Wait() // let an in-flight SIGHUP rebuild finish before exiting
 	fmt.Fprintln(w, "marketd: shut down cleanly")
 	return nil
+}
+
+// lockedWriter serializes writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // parseMaxLag interprets the -max-lag value: empty means no gate, a
@@ -338,9 +271,23 @@ func parseMaxLag(s string) (maxGens int, maxAge time.Duration, err error) {
 	return -1, d, nil
 }
 
-// watchHUP triggers a same-config rebuild on each SIGHUP until ctx ends.
-// Readers keep the old snapshot until the new one swaps in.
-func watchHUP(ctx context.Context, w io.Writer, srv *serve.Server, cfg simulation.Config) {
+// refreshWarmWorlds starts one background rebuild, with the world's own
+// config, for every world that warm-started: such a world serves
+// yesterday's data by design and converges on a current snapshot
+// without delaying the first request. A cold-built world is already
+// current and is left alone.
+func refreshWarmWorlds(w io.Writer, reg *scenario.Registry) {
+	for _, name := range reg.Names() {
+		if reg.World(name).WarmStarted() && reg.Rebuild(name) {
+			fmt.Fprintf(w, "marketd: [%s] fresh rebuild started in background\n", name)
+		}
+	}
+}
+
+// rebuildOnHUP rebuilds every world, each with its own config, on each
+// SIGHUP until ctx ends. Readers keep the old snapshot until the new one
+// swaps in.
+func rebuildOnHUP(ctx context.Context, w io.Writer, reg *scenario.Registry) {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() { // coordinated: exits when ctx is done, signal handler released
@@ -350,14 +297,36 @@ func watchHUP(ctx context.Context, w io.Writer, srv *serve.Server, cfg simulatio
 			case <-ctx.Done():
 				return
 			case <-hup:
-				if srv.RebuildAsync(cfg) {
-					fmt.Fprintln(w, "marketd: SIGHUP: rebuild started")
-				} else {
-					fmt.Fprintln(w, "marketd: SIGHUP: rebuild already in flight")
-				}
+				fmt.Fprintf(w, "marketd: SIGHUP: rebuild started for %d of %d world(s)\n",
+					reg.RebuildAll(), len(reg.Names()))
 			}
 		}
 	}()
+}
+
+// Limits on marketd's one http.Server, which bound what a slow or
+// idle client can hold: the request header must arrive within
+// readHeaderTimeout, a keep-alive connection closes after idleTimeout
+// without a request, and a header may not exceed maxHeaderBytes.
+// There is no write timeout: segment downloads stream whole sealed
+// segments to followers.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// serveOn serves reg on ln until ctx ends, gives in-flight requests up
+// to drain to finish, and waits for in-flight rebuilds.
+func serveOn(ctx context.Context, ln net.Listener, reg *scenario.Registry, drain time.Duration) error {
+	err := serve.Serve(ctx, &http.Server{
+		Handler:           reg,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}, ln, drain)
+	reg.Wait()
+	return err
 }
 
 // selfcheckPaths are the endpoints the -selfcheck smoke test must serve
@@ -387,25 +356,43 @@ var selfcheckPaths = []string{
 	"/v1/asof/diff?from=2015-01-01&to=2015-12-31",
 }
 
-// loopbackServer serves srv on an ephemeral loopback port. The returned
-// shutdown function drains the listener and waits for in-flight
+// scenarioCheckPaths is the surface the selfcheck walks in every world,
+// each prefixed with /v1/{scenario}. It stays clear of date-pinned asof
+// queries because scenario specs may shrink the routing window.
+var scenarioCheckPaths = []string{
+	"/healthz",
+	"/readyz",
+	"/varz",
+	"/table1",
+	"/table1?format=csv",
+	"/figures/1",
+	"/prices",
+	"/transfers",
+	"/delegations",
+	"/leasing",
+	"/headline",
+	"/utilization",
+	"/utilization?format=csv",
+	"/rpki",
+	"/scenarios",
+}
+
+// loopback serves reg through serveOn on an ephemeral loopback port.
+// The returned shutdown function stops serving and waits for in-flight
 // rebuilds; it is safe to call exactly once.
-func loopbackServer(srv *serve.Server, drain time.Duration) (base string, shutdown func() error, err error) {
+func loopback(reg *scenario.Registry, drain time.Duration) (base string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, fmt.Errorf("marketd: selfcheck listen: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	httpSrv := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
 	go func() { // coordinated: result drained in shutdown after cancel
-		done <- serve.Serve(ctx, httpSrv, ln, drain)
+		done <- serveOn(ctx, ln, reg, drain)
 	}()
 	shutdown = func() error {
 		cancel()
-		err := <-done
-		srv.Wait()
-		return err
+		return <-done
 	}
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
@@ -428,156 +415,212 @@ func checkGet(w io.Writer, client *http.Client, base, path string) ([]byte, stri
 	return body, resp.Header.Get("ETag"), nil
 }
 
-// runSelfcheck serves on an ephemeral loopback port, exercises every
-// endpoint through a real HTTP client, and reports pass/fail. It is the
-// full boot-listen-query-shutdown cycle in one process, so CI needs no
-// curl or background job control. With a data directory it then proves
-// the durability contract end to end: shut down, warm-start a second
-// server over the same directory, and require byte- and ETag-identical
-// answers (including 304 on a pre-restart ETag).
-func runSelfcheck(w io.Writer, srv *serve.Server, drain time.Duration, dataDir string, cfg simulation.Config, opts serve.Options) error {
-	base, shutdown, err := loopbackServer(srv, drain)
+// answer is one response's identity.
+type answer struct {
+	body []byte
+	etag string
+}
+
+// generationList is the part of GET /v1/history and GET
+// /v1/replication/generations the selfcheck reads.
+type generationList struct {
+	Generations []struct {
+		Gen uint64 `json:"gen"`
+	} `json:"generations"`
+}
+
+// runSelfcheck serves reg on an ephemeral loopback port, walks it
+// through a real HTTP client, and reports pass/fail. It is the full
+// boot-listen-query-shutdown cycle in one process, so CI needs no curl
+// or background job control. With a data directory it then proves the
+// durability contract for every world (selfcheckRestart).
+func runSelfcheck(w io.Writer, reg *scenario.Registry, specs []scenario.Spec, opts scenario.Options, drain time.Duration) error {
+	base, shutdown, err := loopback(reg, drain)
 	if err != nil {
 		return err
 	}
-
 	client := &http.Client{Timeout: 10 * time.Second}
+	table1, requests, err := selfcheckWalk(w, client, base, reg, opts.DataDir != "")
+	if shutErr := shutdown(); err == nil {
+		err = shutErr
+	}
+	if err != nil {
+		return err
+	}
+	if opts.DataDir == "" {
+		fmt.Fprintf(w, "marketd: selfcheck passed (%d world(s), %d endpoints)\n", len(table1), requests)
+		return nil
+	}
+	return selfcheckRestart(w, client, reg, specs, opts, drain, table1, requests)
+}
+
+// selfcheckWalk queries every endpoint of the served registry: the bare
+// selfcheckPaths against the default world (with a store also its
+// history and ?gen= pins), the listing, and scenarioCheckPaths under
+// /v1/{scenario} for every world (with a store also a ?gen= pin that
+// must equal the live artifact). Worlds with different seeds must serve
+// different transfer logs, and bare paths must be byte- and
+// ETag-identical to the default world's. It returns each world's
+// /table1 answer and the number of requests made.
+func selfcheckWalk(w io.Writer, client *http.Client, base string, reg *scenario.Registry, durable bool) (map[string]answer, int, error) {
+	seen := make(map[string]answer)
+	get := func(path string) error {
+		body, etag, err := checkGet(w, client, base, path)
+		seen[path] = answer{body, etag}
+		return err
+	}
+
 	paths := selfcheckPaths
-	if dataDir != "" {
-		gen := srv.Snapshot().Gen
+	if durable {
+		gen := reg.World(reg.DefaultName()).Snapshot().Gen
 		paths = append(append([]string{}, paths...),
 			"/v1/history",
 			fmt.Sprintf("/v1/table1?gen=%d", gen),
 			fmt.Sprintf("/v1/prices?gen=%d", gen),
 		)
 	}
-	var (
-		checkErr   error
-		table1Body []byte
-		table1ETag string
-	)
 	for _, path := range paths {
-		body, etag, err := checkGet(w, client, base, path)
-		if err != nil {
-			checkErr = err
-			break
-		}
-		if path == "/v1/table1" {
-			table1Body, table1ETag = body, etag
+		if err := get(path); err != nil {
+			return nil, 0, err
 		}
 	}
 
-	if err := shutdown(); err != nil && checkErr == nil {
-		checkErr = err
+	// The listing is the registry's table of contents; the per-world
+	// walk follows it.
+	var listing struct {
+		Default   string `json:"default"`
+		Scenarios []struct {
+			Name string `json:"name"`
+			Seed int64  `json:"seed"`
+			Gen  uint64 `json:"gen"`
+		} `json:"scenarios"`
 	}
-	if checkErr != nil || dataDir == "" {
-		if checkErr == nil {
-			fmt.Fprintf(w, "marketd: selfcheck passed (%d endpoints)\n", len(paths))
-		}
-		return checkErr
+	if err := json.Unmarshal(seen["/v1/scenarios"].body, &listing); err != nil {
+		return nil, 0, fmt.Errorf("marketd: selfcheck /v1/scenarios: %w", err)
+	}
+	if got, want := len(listing.Scenarios), len(reg.Names()); got != want {
+		return nil, 0, fmt.Errorf("marketd: selfcheck /v1/scenarios lists %d world(s), want %d", got, want)
+	}
+	if listing.Default != reg.DefaultName() {
+		return nil, 0, fmt.Errorf("marketd: selfcheck /v1/scenarios default %q, want %q", listing.Default, reg.DefaultName())
 	}
 
-	return selfcheckRestart(w, drain, dataDir, cfg, opts, client, table1Body, table1ETag, len(paths))
+	table1 := make(map[string]answer, len(listing.Scenarios))
+	for _, sc := range listing.Scenarios {
+		prefix := "/v1/" + sc.Name
+		for _, p := range scenarioCheckPaths {
+			if err := get(prefix + p); err != nil {
+				return nil, 0, err
+			}
+		}
+		table1[sc.Name] = seen[prefix+"/table1"]
+		if durable {
+			pinned := fmt.Sprintf("%s/utilization?gen=%d", prefix, sc.Gen)
+			if err := get(pinned); err != nil {
+				return nil, 0, err
+			}
+			if !bytes.Equal(seen[pinned].body, seen[prefix+"/utilization"].body) {
+				return nil, 0, fmt.Errorf("marketd: selfcheck: %s differs from the live artifact", pinned)
+			}
+		}
+	}
+
+	// Isolation: distinct seeds must produce distinct worlds.
+	for i, a := range listing.Scenarios {
+		for _, b := range listing.Scenarios[i+1:] {
+			if a.Seed != b.Seed && bytes.Equal(seen["/v1/"+a.Name+"/transfers"].body, seen["/v1/"+b.Name+"/transfers"].body) {
+				return nil, 0, fmt.Errorf("marketd: selfcheck: worlds %s and %s (different seeds) serve identical transfer logs",
+					a.Name, b.Name)
+			}
+		}
+	}
+
+	// Alias: bare paths are the default world, byte for byte.
+	bare, def := seen["/v1/transfers"], seen["/v1/"+listing.Default+"/transfers"]
+	if !bytes.Equal(bare.body, def.body) || bare.etag != def.etag {
+		return nil, 0, fmt.Errorf("marketd: selfcheck: bare /v1/transfers is not byte-identical to /v1/%s/transfers", listing.Default)
+	}
+	return table1, len(seen), nil
 }
 
-// selfcheckRestart is the second phase of a durable selfcheck: a fresh
-// server over the same data directory must warm-start and answer with
-// the bytes and ETags the first server persisted.
-func selfcheckRestart(w io.Writer, drain time.Duration, dataDir string, cfg simulation.Config,
-	opts serve.Options, client *http.Client, wantBody []byte, wantETag string, phase1 int) error {
-	fmt.Fprintln(w, "marketd: selfcheck restart: warm-starting a second server over", dataDir)
-	st, err := store.Open(dataDir)
-	if err != nil {
-		return fmt.Errorf("marketd: selfcheck restart: reopen store: %w", err)
-	}
-
+// selfcheckRestart is the second phase of a durable selfcheck, run for
+// every world of the stopped registry reg: re-checksum every stored
+// segment, warm-start a second registry over the same data directory,
+// and require the /table1 bytes and ETag the first one served, a 304 on
+// the pre-restart ETag, and non-empty replication and history listings.
+func selfcheckRestart(w io.Writer, client *http.Client, reg *scenario.Registry, specs []scenario.Spec,
+	opts scenario.Options, drain time.Duration, want map[string]answer, phase1 int) error {
 	// Re-checksum every segment on disk (frame CRCs + footer) — the same
 	// verification replication followers run on downloads.
-	gens := st.Generations()
-	for _, g := range gens {
-		if err := st.Verify(g.Gen); err != nil {
-			return fmt.Errorf("marketd: selfcheck: %w", err)
+	segments := 0
+	for _, name := range reg.Names() {
+		st := reg.Store(name)
+		for _, g := range st.Generations() {
+			if err := st.Verify(g.Gen); err != nil {
+				return fmt.Errorf("marketd: selfcheck: %w", err)
+			}
+			segments++
 		}
 	}
-	fmt.Fprintf(w, "marketd: selfcheck verify: %d segment(s) re-checksummed clean\n", len(gens))
+	fmt.Fprintf(w, "marketd: selfcheck verify: %d segment(s) re-checksummed clean\n", segments)
 
-	opts.Store = st
-	opts.WarmStart = true
-	leader := replicate.NewLeader(st)
-	opts.ReplicationVarz = leader.Varz
-	srv2, err := serve.New(cfg, opts)
+	fmt.Fprintln(w, "marketd: selfcheck restart: warm-starting a second registry over", opts.DataDir)
+	reg2, err := scenario.New(context.Background(), specs, opts)
 	if err != nil {
 		return fmt.Errorf("marketd: selfcheck restart: %w", err)
 	}
-	if !srv2.WarmStarted() {
-		return fmt.Errorf("marketd: selfcheck restart: second server did not warm-start")
-	}
-	srv2.Mount(replicate.PatternGenerations, leader.Generations(), 0)
-	srv2.Mount(replicate.PatternSegment, leader.Segment(), 0)
-	base, shutdown, err := loopbackServer(srv2, drain)
+	base, shutdown, err := loopback(reg2, drain)
 	if err != nil {
 		return err
 	}
 	defer shutdown()
 
-	body, etag, err := checkGet(w, client, base, "/v1/table1")
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(body, wantBody) {
-		return fmt.Errorf("marketd: selfcheck restart: /v1/table1 body differs from pre-restart bytes")
-	}
-	if etag != wantETag {
-		return fmt.Errorf("marketd: selfcheck restart: /v1/table1 ETag %s, want %s", etag, wantETag)
+	for _, name := range reg2.Names() {
+		if !reg2.World(name).WarmStarted() {
+			return fmt.Errorf("marketd: selfcheck restart: world %s did not warm-start", name)
+		}
+		path := "/v1/" + name + "/table1"
+		body, etag, err := checkGet(w, client, base, path)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(body, want[name].body) {
+			return fmt.Errorf("marketd: selfcheck restart: %s body differs from pre-restart bytes", path)
+		}
+		if etag != want[name].etag {
+			return fmt.Errorf("marketd: selfcheck restart: %s ETag %s, want %s", path, etag, want[name].etag)
+		}
+
+		req, err := http.NewRequest(http.MethodGet, base+path, nil)
+		if err != nil {
+			return fmt.Errorf("marketd: selfcheck restart: %w", err)
+		}
+		req.Header.Set("If-None-Match", etag)
+		resp, err := client.Do(req)
+		if err != nil {
+			return fmt.Errorf("marketd: selfcheck restart: conditional GET: %w", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotModified {
+			return fmt.Errorf("marketd: selfcheck restart: pre-restart ETag on %s answered %d, want 304", path, resp.StatusCode)
+		}
+		fmt.Fprintf(w, "marketd: selfcheck %-28s %d (ETag continuity)\n", path+" If-None-Match", resp.StatusCode)
+
+		for _, p := range []string{"/v1/replication/generations", "/history"} {
+			body, _, err := checkGet(w, client, base, "/v1/"+name+p)
+			if err != nil {
+				return err
+			}
+			var list generationList
+			if err := json.Unmarshal(body, &list); err != nil {
+				return fmt.Errorf("marketd: selfcheck restart: /v1/%s%s: %w", name, p, err)
+			}
+			if len(list.Generations) == 0 {
+				return fmt.Errorf("marketd: selfcheck restart: /v1/%s%s lists no generations", name, p)
+			}
+		}
 	}
 
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/table1", nil)
-	if err != nil {
-		return fmt.Errorf("marketd: selfcheck restart: %w", err)
-	}
-	req.Header.Set("If-None-Match", wantETag)
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("marketd: selfcheck restart: conditional GET: %w", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		return fmt.Errorf("marketd: selfcheck restart: pre-restart ETag answered %d, want 304", resp.StatusCode)
-	}
-	fmt.Fprintf(w, "marketd: selfcheck %-28s %d (ETag continuity)\n", "/v1/table1 If-None-Match", resp.StatusCode)
-
-	replBody, _, err := checkGet(w, client, base, "/v1/replication/generations")
-	if err != nil {
-		return err
-	}
-	var listing struct {
-		Generations []struct {
-			Gen uint64 `json:"gen"`
-		} `json:"generations"`
-	}
-	if err := json.Unmarshal(replBody, &listing); err != nil {
-		return fmt.Errorf("marketd: selfcheck restart: /v1/replication/generations: %w", err)
-	}
-	if len(listing.Generations) == 0 {
-		return fmt.Errorf("marketd: selfcheck restart: replication listing is empty")
-	}
-
-	histBody, _, err := checkGet(w, client, base, "/v1/history")
-	if err != nil {
-		return err
-	}
-	var hist struct {
-		Generations []struct {
-			Gen uint64 `json:"gen"`
-		} `json:"generations"`
-	}
-	if err := json.Unmarshal(histBody, &hist); err != nil {
-		return fmt.Errorf("marketd: selfcheck restart: /v1/history: %w", err)
-	}
-	if len(hist.Generations) == 0 {
-		return fmt.Errorf("marketd: selfcheck restart: /v1/history lists no generations")
-	}
-
-	fmt.Fprintf(w, "marketd: selfcheck passed (%d endpoints + restart continuity)\n", phase1)
+	fmt.Fprintf(w, "marketd: selfcheck passed (%d world(s), %d endpoints + restart continuity)\n", len(want), phase1)
 	return nil
 }

@@ -139,3 +139,30 @@ func TestMaxLagRequiresFollower(t *testing.T) {
 		t.Errorf("error %v does not name the flag", err)
 	}
 }
+
+// TestSelfcheckScenariosWithDataDir drives the matrix selfcheck with a
+// store: every world's surface and ?gen= pins, then the restart phase
+// applied to every world.
+func TestSelfcheckScenariosWithDataDir(t *testing.T) {
+	var buf bytes.Buffer
+	args := append([]string{"-selfcheck", "-scenarios", "../../examples/scenarios", "-data-dir", t.TempDir()}, smallWorld...)
+	if err := run(&buf, args); err != nil {
+		t.Fatalf("matrix selfcheck failed: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	for _, marker := range []string{
+		"/v1/baseline/utilization?gen=1",
+		"/v1/churnstorm/utilization?gen=1",
+		"selfcheck verify: 2 segment(s) re-checksummed clean",
+		"/v1/baseline/table1 If-None-Match",
+		"/v1/churnstorm/table1 If-None-Match",
+		"/v1/churnstorm/v1/replication/generations",
+		"/v1/churnstorm/history",
+		"selfcheck passed (2 world(s)",
+		"restart continuity",
+	} {
+		if !strings.Contains(out, marker) {
+			t.Errorf("matrix selfcheck output lacks %q:\n%s", marker, out)
+		}
+	}
+}

@@ -28,16 +28,6 @@ var specialSet = func() *Set {
 	return s
 }()
 
-// SpecialPurposePrefixes returns the reserved/special-purpose blocks as
-// prefixes, in address order.
-func SpecialPurposePrefixes() []Prefix {
-	ps := make([]Prefix, len(specialPurpose))
-	for i, s := range specialPurpose {
-		ps[i] = MustParsePrefix(s)
-	}
-	return ps
-}
-
 // IsSpecialPurpose reports whether the prefix overlaps reserved or
 // special-purpose address space (bogon space in routing terms).
 func IsSpecialPurpose(p Prefix) bool {

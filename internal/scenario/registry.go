@@ -22,7 +22,8 @@ type Options struct {
 	BaseCfg simulation.Config
 	// DataDir, when set, roots the per-scenario stores: scenario "storm"
 	// persists under DataDir/storm with its own generation ratchet and
-	// retention. Empty runs the whole matrix in memory.
+	// retention, the implicit world (see Implicit) at DataDir itself.
+	// Empty runs the whole matrix in memory.
 	DataDir string
 	// StoreKeep bounds per-scenario retention (< 1: keep all).
 	StoreKeep int
@@ -39,9 +40,11 @@ type Options struct {
 	// FollowURL, when set, runs every scenario as a replication follower
 	// of the leader at this base URL: scenario "storm" polls
 	// FollowURL/v1/storm/v1/replication/... (the scenario router strips
-	// the /v1/storm prefix on the leader side). Requires DataDir.
+	// the /v1/storm prefix on the leader side), the implicit world the
+	// bare FollowURL/v1/replication/.... Requires DataDir.
 	FollowURL string
-	// PollInterval is the follower poll period (default 5s).
+	// PollInterval is the follower poll period, and the retry period
+	// of its first sync (default 5s).
 	PollInterval time.Duration
 	// LagGate enables the follower /readyz lag gate with the bounds
 	// below (replicate.Replicator.ReadyCheck semantics: a negative
@@ -90,6 +93,9 @@ func New(ctx context.Context, specs []Spec, opts Options) (*Registry, error) {
 	if opts.FollowURL != "" && opts.DataDir == "" {
 		return nil, fmt.Errorf("scenario: follower mode requires a data dir")
 	}
+	if opts.PollInterval <= 0 {
+		opts.PollInterval = 5 * time.Second
+	}
 	reg := &Registry{
 		opts:   opts,
 		specs:  append([]Spec(nil), specs...),
@@ -122,11 +128,15 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 	logf := r.prefixedLogf(spec.Name)
 
 	if r.opts.DataDir != "" {
-		st, err := store.Open(storeDir(r.opts.DataDir, spec.Name))
+		dir := spec.storeDir(r.opts.DataDir)
+		st, err := store.Open(dir)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 		}
 		w.st = st
+		stats := st.Stats()
+		logf("store %s: %d generation(s), %d bytes, %d corrupt segment(s) quarantined",
+			dir, stats.Segments, stats.Bytes, stats.TruncatedTails)
 	}
 
 	so := serve.Options{
@@ -143,10 +153,8 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 
 	if r.opts.FollowURL != "" {
 		// Follower: mirror this scenario's segment stream from the leader.
-		// The leader's scenario router accepts the nested /v1/{name}/v1/
-		// replication/... form and strips the scenario prefix.
 		repl, err := replicate.New(replicate.Options{
-			LeaderURL: strings.TrimRight(r.opts.FollowURL, "/") + "/v1/" + spec.Name,
+			LeaderURL: spec.leaderURL(r.opts.FollowURL),
 			Store:     w.st,
 			Interval:  r.opts.PollInterval,
 			Keep:      r.opts.StoreKeep,
@@ -179,7 +187,7 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 	if w.leader != nil {
 		srv.Mount(replicate.PatternGenerations, w.leader.Generations(), r.opts.Timeout)
 		// Segment bodies stream whole sealed segments; no per-request
-		// timeout, matching the single-scenario marketd wiring.
+		// timeout, so a slow follower's download is never cut mid-stream.
 		srv.Mount(replicate.PatternSegment, w.leader.Segment(), 0)
 	}
 	if w.repl != nil {
@@ -189,11 +197,16 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 }
 
 // initialSync blocks until the follower's store holds at least one
-// generation, polling the leader until ctx is cancelled.
+// generation, retrying every PollInterval until ctx is cancelled. The
+// leader being down, or up but empty, at follower boot is expected.
 func (r *Registry) initialSync(ctx context.Context, w *world, logf func(string, ...any)) error {
 	for {
-		if err := w.repl.SyncOnce(ctx); err != nil {
-			logf("scenario %s: initial sync: %v", w.spec.Name, err)
+		if _, ok := w.st.Latest(); ok {
+			return nil
+		}
+		logf("follower: syncing initial generation from %s...", w.spec.leaderURL(r.opts.FollowURL))
+		if err := w.repl.SyncOnce(ctx); err != nil && ctx.Err() == nil {
+			logf("follower: initial sync failed (will retry in %s): %v", r.opts.PollInterval, err)
 		}
 		if _, ok := w.st.Latest(); ok {
 			return nil
@@ -201,16 +214,9 @@ func (r *Registry) initialSync(ctx context.Context, w *world, logf func(string, 
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("scenario %s: initial sync: %w", w.spec.Name, ctx.Err())
-		case <-time.After(time.Second):
+		case <-time.After(r.opts.PollInterval):
 		}
 	}
-}
-
-// storeDir is the per-scenario store location: a subdirectory named
-// after the scenario, giving it an independent generation ratchet and
-// retention policy.
-func storeDir(dataDir, name string) string {
-	return dataDir + "/" + name
 }
 
 // prefixedLogf returns a never-nil logger tagging each line with the
@@ -238,6 +244,15 @@ func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
 func (r *Registry) World(name string) *serve.Server {
 	if w, ok := r.byName[name]; ok {
 		return w.srv
+	}
+	return nil
+}
+
+// Store returns the named scenario's durable store, or nil when the
+// registry runs in memory or the name is unknown.
+func (r *Registry) Store(name string) *store.Store {
+	if w, ok := r.byName[name]; ok {
+		return w.st
 	}
 	return nil
 }
@@ -317,14 +332,21 @@ func (r *Registry) Run(ctx context.Context) {
 	}
 }
 
+// Rebuild triggers a background rebuild of the named scenario with its
+// own config. It reports false for an unknown name, a follower, or a
+// rebuild already in flight.
+func (r *Registry) Rebuild(name string) bool {
+	w, ok := r.byName[name]
+	return ok && w.srv.RebuildAsync(w.cfg)
+}
+
 // RebuildAll triggers a background rebuild of every scenario with its
 // own config (the SIGHUP surface) and returns how many started;
 // scenarios with a rebuild already in flight are skipped.
 func (r *Registry) RebuildAll() int {
 	started := 0
 	for _, name := range r.order {
-		w := r.byName[name]
-		if w.srv.RebuildAsync(w.cfg) {
+		if r.Rebuild(name) {
 			started++
 		}
 	}

@@ -3,7 +3,9 @@
 // adversarial knobs — price shocks, RPKI churn/stale-ROA storms, hijack
 // waves, a utilization profile) into Specs, and its Registry owns one
 // serving world per scenario, each with its own snapshot pipeline,
-// namespaced store generations, and replication stream.
+// namespaced store generations, and replication stream. A single-world
+// deployment is the registry of one Implicit spec; the package alone
+// decides where each world lives on disk and on the wire.
 package scenario
 
 import (
@@ -65,6 +67,42 @@ type Spec struct {
 	RPKIChurnStorms []ChurnStormSpec `json:"rpki_churn_storms,omitempty"`
 	HijackWaves     []HijackWaveSpec `json:"hijack_waves,omitempty"`
 	Utilization     *UtilizationSpec `json:"utilization,omitempty"`
+
+	// implicit marks the one world a marketd without -scenarios serves.
+	// Only Implicit sets it; JSON cannot.
+	implicit bool
+}
+
+// Implicit returns the spec of the one world a plain single-world
+// deployment serves: named "default", marked default, with the given
+// seed and no scale override or knob, so Config returns its base
+// unchanged. It keeps the single-world layout on disk and on the wire:
+// its store is the data directory itself, not a subdirectory, and as a
+// follower it polls the leader's bare /v1/replication/... surface.
+func Implicit(seed int64) Spec {
+	return Spec{Name: "default", Default: true, Seed: seed, implicit: true}
+}
+
+// storeDir is where the world persists under dataDir: a subdirectory
+// named after the scenario, giving it an independent generation ratchet
+// and retention policy, or dataDir itself for the implicit world.
+func (s *Spec) storeDir(dataDir string) string {
+	if s.implicit {
+		return dataDir
+	}
+	return filepath.Join(dataDir, s.Name)
+}
+
+// leaderURL is the base URL the world's follower replicates from. A
+// scenario polls follow/v1/{name}/v1/replication/... (the leader's
+// router strips the scenario prefix); the implicit world polls the
+// bare follow/v1/replication/....
+func (s *Spec) leaderURL(follow string) string {
+	base := strings.TrimRight(follow, "/")
+	if s.implicit {
+		return base
+	}
+	return base + "/v1/" + s.Name
 }
 
 // PriceShockSpec multiplies broker-market prices by Factor for deals in

@@ -47,10 +47,6 @@ func (ix *DelegationIndex) Len() int { return ix.total }
 // Addrs returns the number of distinct delegated addresses.
 func (ix *DelegationIndex) Addrs() uint64 { return ix.addrs }
 
-// SizeHistogram returns the fraction of delegations per child prefix
-// length. The returned map is shared; callers must not mutate it.
-func (ix *DelegationIndex) SizeHistogram() map[int]float64 { return ix.hist }
-
 // Lookup describes the delegations related to one queried prefix.
 type Lookup struct {
 	Prefix netblock.Prefix

@@ -609,9 +609,6 @@ func (ix *Index) EventCount() int { return len(ix.events) }
 // SpanCount returns the number of holding spans.
 func (ix *Index) SpanCount() int { return len(ix.spans) }
 
-// DelegationCount returns the number of delegation spans.
-func (ix *Index) DelegationCount() int { return len(ix.delegs) }
-
 // EpochCount returns the number of delegation-epoch partitions.
 func (ix *Index) EpochCount() int { return len(ix.epochs) }
 

@@ -49,20 +49,22 @@
 #                   by name (sync + catch-up, corrupt and truncated
 #                   downloads quarantined/resumed, byte- and
 #                   ETag-identical follower answers), then
-#                   scripts/replgate.go boots a real leader and
-#                   follower marketd pair over loopback and asserts the
-#                   same identity plus the follower's 409 on
-#                   /admin/rebuild
+#                   scripts/fleetgate/fleetgate.go boots a real
+#                   single-world leader and follower marketd pair over
+#                   loopback and asserts the same identity, the
+#                   follower's 409 on /admin/rebuild, the bare alias,
+#                   rebuild, follower catch-up, and clean SIGTERM exits
 #   scenario      — the multi-tenant matrix contracts, run explicitly
 #                   and by name (worker-count determinism per scenario,
 #                   cross-scenario isolation, default alias, warm-start
-#                   matrix, golden example configs), then
-#                   scripts/scengate.go boots a race-enabled leader
-#                   marketd on the shipped examples/scenarios matrix
-#                   plus a follower replicating all of it, and asserts
-#                   per-scenario leader/follower byte identity, the
-#                   default alias, rebuild isolation, and follower
-#                   catch-up over real sockets
+#                   matrix, golden example configs), then the same
+#                   scripts/fleetgate/fleetgate.go, given -scenarios,
+#                   boots a race-enabled leader marketd on the shipped
+#                   examples/scenarios matrix plus a follower
+#                   replicating all of it, and asserts per-scenario
+#                   leader/follower byte identity, at least one
+#                   adversarial world, the default alias, rebuild
+#                   isolation, and follower catch-up over real sockets
 #   suppressions  — ipv4lint -suppressions: every //lint:ignore
 #                   directive must still silence a live finding; stale
 #                   directives fail the gate so fixed code sheds its
@@ -184,7 +186,7 @@ gate_replication() {
         -run 'TestLeaderFollowerSync|TestFlippedBytesQuarantined|TestTruncatedStreamResumed|TestLeaderFollowerEndToEnd' \
         ./internal/replicate
     go build -o "$check_dir/marketd" ./cmd/marketd
-    go run scripts/replgate.go "$check_dir/marketd"
+    go run scripts/fleetgate/fleetgate.go "$check_dir/marketd"
 }
 
 gate_scenario() {
@@ -192,7 +194,7 @@ gate_scenario() {
         -run 'TestMatrixDeterminism|TestScenarioIsolation|TestDefaultAlias|TestWarmStartMatrix|TestGoldenConfigsReplay' \
         ./internal/scenario
     go build -race -o "$check_dir/marketd-race" ./cmd/marketd
-    go run scripts/scengate/scengate.go "$check_dir/marketd-race"
+    go run scripts/fleetgate/fleetgate.go -scenarios examples/scenarios "$check_dir/marketd-race"
 }
 
 gate_suppressions() {
