@@ -8,6 +8,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,9 +88,11 @@ func (p ASPath) EndsInSet() bool {
 }
 
 // HasLoop reports whether any ASN appears twice in AS_SEQUENCE segments,
-// ignoring consecutive repeats (prepending is legitimate).
+// ignoring consecutive repeats (prepending is legitimate). Real paths are
+// a handful of hops, so a linear scan of the hops seen so far beats a set.
 func (p ASPath) HasLoop() bool {
-	seen := make(map[ASN]bool)
+	var buf [16]ASN
+	seen := buf[:0]
 	var prev ASN
 	havePrev := false
 	for _, seg := range p {
@@ -101,10 +104,10 @@ func (p ASPath) HasLoop() bool {
 			if havePrev && a == prev {
 				continue // prepend
 			}
-			if seen[a] {
+			if slices.Contains(seen, a) {
 				return true
 			}
-			seen[a] = true
+			seen = append(seen, a)
 			prev, havePrev = a, true
 		}
 	}

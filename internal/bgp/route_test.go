@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ipv4market/internal/netblock"
@@ -203,6 +205,48 @@ func TestOriginSurveyMOASAndASSet(t *testing.T) {
 	}
 	if (PrefixOrigin{}).Visibility(0) != 0 {
 		t.Error("zero-monitor visibility must be 0")
+	}
+}
+
+// TestOriginSurveySetSemantics: monitors and (prefix, origin) pairs are
+// sets. A repeated monitor ID or a duplicate route counts once, an
+// AS_SET route flags its prefix without adding a pair, and monitor
+// bitmaps keep their bits when they widen past 64 monitors.
+func TestOriginSurveySetSemantics(t *testing.T) {
+	p8, p9 := pfx("8.8.8.0/24"), pfx("9.9.9.0/24")
+	plain := Route{Prefix: p8, Path: NewPath(100, 64500)}
+
+	s := NewOriginSurvey()
+	s.AddView("m1", []Route{plain, {Prefix: p8, Path: NewPath(200, 300, 64500)}})
+	s.AddView("m1", []Route{plain})
+	s.AddView("m2", []Route{{Prefix: p9, Path: NewPath(100).AppendSet(1, 2)}})
+	want := []PrefixOrigin{{Prefix: p8, Origin: 64500, Monitors: 1}}
+	if got := s.Pairs(); s.NumMonitors() != 2 || !slices.Equal(got, want) {
+		t.Fatalf("monitors %d, pairs %+v; want 2, %+v", s.NumMonitors(), got, want)
+	}
+	s.AddView("m3", []Route{{Prefix: p9, Path: NewPath(100, 64501)}})
+	want = append(want, PrefixOrigin{Prefix: p9, Origin: 64501, Monitors: 1, ASSet: true})
+	if got := s.Pairs(); !slices.Equal(got, want) {
+		t.Fatalf("pairs %+v, want %+v", got, want)
+	}
+
+	// 130 monitors: three bitmap words. p9 is first seen while the
+	// bitmap is one word wide and seen again after it widens twice.
+	s = NewOriginSurvey()
+	s.AddView("early", []Route{{Prefix: p9, Path: NewPath(100, 64501)}})
+	for i := 0; i < 130; i++ {
+		s.AddView(fmt.Sprintf("m%d", i), []Route{plain})
+	}
+	s.AddView("m129", []Route{plain, {Prefix: p9, Path: NewPath(100, 64501)}})
+	want = []PrefixOrigin{
+		{Prefix: p8, Origin: 64500, Monitors: 130},
+		{Prefix: p9, Origin: 64501, Monitors: 2},
+	}
+	if got := s.Pairs(); s.NumMonitors() != 131 || !slices.Equal(got, want) {
+		t.Fatalf("monitors %d, pairs %+v; want 131, %+v", s.NumMonitors(), got, want)
+	}
+	if clean := s.CleanPairs(0.5); len(clean) != 1 || clean[p8] != 64500 {
+		t.Errorf("CleanPairs = %v", clean)
 	}
 }
 

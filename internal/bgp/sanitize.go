@@ -52,23 +52,36 @@ type SanitizeReport struct {
 	PathLoop     int // routes with AS-path loops
 }
 
+// violation returns the counter of the first rule the route breaks —
+// address space, then reserved ASNs, then loops — or nil when it breaks
+// none.
+func (rep *SanitizeReport) violation(r Route) *int {
+	switch {
+	case netblock.IsSpecialPurpose(r.Prefix):
+		return &rep.SpecialSpace
+	case PathHasReservedASN(r.Path):
+		return &rep.ReservedASN
+	case r.Path.HasLoop():
+		return &rep.PathLoop
+	}
+	return nil
+}
+
+// Clean reports whether the route passes every sanitization rule: the
+// per-route test Sanitize applies.
+func Clean(r Route) bool { return new(SanitizeReport).violation(r) == nil }
+
 // Sanitize filters a route list per the paper's rules and reports what was
-// removed. Order of checks: address space, then reserved ASNs, then loops
-// (each route is counted against the first rule it violates).
+// removed. Each route is counted against the first rule it violates.
 func Sanitize(routes []Route) ([]Route, SanitizeReport) {
 	rep := SanitizeReport{Input: len(routes)}
 	out := make([]Route, 0, len(routes))
 	for _, r := range routes {
-		switch {
-		case netblock.IsSpecialPurpose(r.Prefix):
-			rep.SpecialSpace++
-		case PathHasReservedASN(r.Path):
-			rep.ReservedASN++
-		case r.Path.HasLoop():
-			rep.PathLoop++
-		default:
-			out = append(out, r)
+		if n := rep.violation(r); n != nil {
+			*n++
+			continue
 		}
+		out = append(out, r)
 	}
 	rep.Kept = len(out)
 	return out, rep

@@ -215,3 +215,33 @@ func TestServeAllocRegression(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocRegression holds the serial snapshot build to its
+// allocation budget. The routing survey counts (prefix, origin)
+// visibility in one flat pass; a build that materializes per-monitor
+// RIBs again costs ~76 MB and ~525k allocs per op at this world, and
+// trips this immediately.
+func TestBuildAllocRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark-backed regression check in -short mode")
+	}
+	const (
+		maxBytes  = 48 << 20
+		maxAllocs = 360_000
+	)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := BuildSnapshotOpts(testConfig(), BuildOptions{Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > maxBytes {
+		t.Errorf("build: %d bytes/op, budget %d", got, maxBytes)
+	}
+	if got := res.AllocsPerOp(); got > maxAllocs {
+		t.Errorf("build: %d allocs/op, budget %d", got, maxAllocs)
+	}
+	t.Logf("build: %d bytes/op, %d allocs/op over %d ops", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N)
+}

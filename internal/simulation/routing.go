@@ -31,6 +31,9 @@ type RoutingSim struct {
 	scrubEvents []scrubEvent
 	// transit maps each origin AS to its upstream.
 	transit map[ASN]ASN
+	// monitorIDs are the survey's monitor IDs ("collector:peer IP") in
+	// global monitor order.
+	monitorIDs []string
 }
 
 type scrubEvent struct {
@@ -47,9 +50,10 @@ type collectorSpec struct {
 }
 
 type announcement struct {
-	prefix netblock.Prefix
-	origin ASN
-	asSet  []ASN // non-nil: terminate the path with this AS_SET
+	prefix  netblock.Prefix
+	origin  ASN
+	asSet   []ASN // non-nil: terminate the path with this AS_SET
+	transit ASN   // origin's upstream; set per day by dayRoutes
 }
 
 // collectorNames gives the simulation's collectors familiar labels.
@@ -77,6 +81,7 @@ func NewRoutingSim(w *World) *RoutingSim {
 			spec.peers = append(spec.peers, bgp.PeerEntry{
 				BGPID: nextPeerIP, IP: nextPeerIP, AS: nextPeerAS,
 			})
+			rs.monitorIDs = append(rs.monitorIDs, fmt.Sprintf("%s:%s", name, nextPeerIP))
 			nextPeerAS++
 			nextPeerIP++
 		}
@@ -268,10 +273,13 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 	return out
 }
 
-// SurveyAt builds the day's origin survey across all monitors, applying
-// the same sanitization the offline pipeline uses. Legitimate routes are
-// seen by each monitor with ~97% probability; hijacks at only 1-2
-// monitors.
+// SurveyAt counts the day's origin survey across all monitors in one flat
+// pass: per monitor it picks the one best route per prefix (dayRoutes.best,
+// the selection CollectorAt's RIBs also hold), keeps the routes bgp.Clean
+// passes — the offline pipeline's sanitization — and sets the monitor's
+// bit on each surviving (prefix, origin) pair. No per-monitor RIB is
+// built. Legitimate routes are seen by each monitor with ~97%
+// probability; hijacks at only 1-2 monitors.
 //
 // SurveyAt is a pure derivation: every random draw comes from RNGs
 // seeded deterministically per (day, collector), and the receiver is not
@@ -279,71 +287,158 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // order-independent — the per-date inference fan-out in core.Figure6
 // relies on this contract.
 func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
-	anns, hijacks, hijackMonitors := rs.dayEvents(day)
+	d := rs.dayRoutes(day)
 	survey := bgp.NewOriginSurvey()
-	monIdx := 0
+	for _, id := range rs.monitorIDs {
+		survey.Monitor(id)
+	}
+	// pairOf[c] is candidate c's pair index in the survey, -1 until a
+	// monitor first keeps it.
+	pairOf := make([]int32, len(d.cands))
+	for i := range pairOf {
+		pairOf[i] = -1
+	}
+	var buf pathBuf
+	monIdx := 0 // also the survey's index for the monitor: interned in this order
 	for ci, spec := range rs.collectors {
 		rng := rs.visRNG(day, ci)
-		for p := range spec.peers {
-			rib := rs.monitorRIB(rng, spec.peers[p].AS, monIdx, anns, hijacks, hijackMonitors)
-			clean, _ := bgp.Sanitize(rib.Routes())
-			survey.AddView(fmt.Sprintf("%s:%s", spec.name, spec.peers[p].IP), clean)
+		for _, peer := range spec.peers {
+			for _, c := range d.best(rng, monIdx) {
+				a := &d.cands[c]
+				if !bgp.Clean(a.route(peer.AS, &buf)) {
+					continue
+				}
+				switch {
+				case a.asSet != nil:
+					survey.ObserveASSet(a.prefix)
+				case pairOf[c] < 0:
+					pairOf[c] = int32(survey.Observe(monIdx, a.prefix, a.origin))
+				default:
+					survey.ObservePair(int(pairOf[c]), monIdx)
+				}
+			}
 			monIdx++
 		}
 	}
 	return survey
 }
 
-// monitorRIB builds one monitor's table for the day: each announcement is
-// present with ~97% probability, hijacks only at their assigned monitors,
-// and — as in a real per-peer RIB — at most one best route per prefix.
-// For MOAS prefixes the preferred origin alternates by monitor, so the
-// survey still observes both origins across the platform.
-func (rs *RoutingSim) monitorRIB(rng *rand.Rand, peerAS ASN, monIdx int, anns, hijacks []announcement, hijackMonitors [][]int) *bgp.RIB {
-	rib := bgp.NewRIB()
-	for _, a := range anns {
+// dayRoutes is one day's candidate routes — the active announcements,
+// then the hijacks — indexed by the prefix slot each competes for, with
+// the scratch state for picking monitors' best routes, reused monitor
+// after monitor. A dayRoutes serves one goroutine.
+type dayRoutes struct {
+	cands          []announcement
+	slot           []int32 // candidate → index of its prefix among the day's distinct prefixes
+	nAnns          int
+	hijackMonitors [][]int
+
+	winner  []int32 // slot → best candidate so far, -1 when none
+	touched []int32 // slots holding a winner, in first-offer order
+}
+
+func (rs *RoutingSim) dayRoutes(day int) *dayRoutes {
+	anns, hijacks, hijackMonitors := rs.dayEvents(day)
+	d := &dayRoutes{
+		cands:          append(anns, hijacks...),
+		nAnns:          len(anns),
+		hijackMonitors: hijackMonitors,
+	}
+	d.slot = make([]int32, len(d.cands))
+	slots := make(map[netblock.Prefix]int32, len(d.cands))
+	for i := range d.cands {
+		c := &d.cands[i]
+		c.transit = rs.transitOf(c.origin)
+		s, ok := slots[c.prefix]
+		if !ok {
+			s = int32(len(slots))
+			slots[c.prefix] = s
+		}
+		d.slot[i] = s
+	}
+	d.winner = make([]int32, len(slots))
+	for i := range d.winner {
+		d.winner[i] = -1
+	}
+	d.touched = make([]int32, 0, len(slots))
+	return d
+}
+
+// best returns monitor monIdx's table for the day as candidate indexes,
+// one per prefix it holds: each announcement is present with ~97%
+// probability (one rng draw per announcement, in order), hijacks only at
+// their assigned monitors, and — as in a real per-peer RIB — at most one
+// best route per prefix. Same-prefix conflicts resolve deterministically:
+// a route ending in an AS_SET has no usable origin and neither displaces
+// nor is displaced; otherwise even monitors prefer the lower origin AS,
+// odd monitors the higher one, so the survey still observes both origins
+// of a MOAS prefix across the platform. The returned slice is valid until
+// the next call.
+func (d *dayRoutes) best(rng *rand.Rand, monIdx int) []int32 {
+	for i := 0; i < d.nAnns; i++ {
 		if rng.Float64() > 0.97 {
 			continue // this monitor misses the route today
 		}
-		insertPreferring(rib, rs.routeFor(a, peerAS), monIdx)
+		d.offer(int32(i), monIdx)
 	}
-	for i, h := range hijacks {
-		for _, m := range hijackMonitors[i] {
+	for i, mons := range d.hijackMonitors {
+		for _, m := range mons {
 			if m == monIdx {
-				insertPreferring(rib, rs.routeFor(h, peerAS), monIdx)
+				d.offer(int32(d.nAnns+i), monIdx)
 			}
 		}
 	}
-	return rib
+	for i, s := range d.touched {
+		d.touched[i] = d.winner[s]
+		d.winner[s] = -1
+	}
+	out := d.touched
+	d.touched = d.touched[:0]
+	return out
 }
 
-// insertPreferring resolves same-prefix conflicts deterministically: even
-// monitors prefer the lower origin AS, odd monitors the higher one.
-func insertPreferring(rib *bgp.RIB, r bgp.Route, monIdx int) {
-	old, ok := rib.Get(r.Prefix)
-	if !ok {
-		rib.Insert(r)
+func (d *dayRoutes) offer(c int32, monIdx int) {
+	s := d.slot[c]
+	cur := d.winner[s]
+	if cur < 0 {
+		d.winner[s] = c
+		d.touched = append(d.touched, s)
 		return
 	}
-	oldOrigin, ok1 := old.Path.OriginAS()
-	newOrigin, ok2 := r.Path.OriginAS()
-	if !ok1 || !ok2 {
-		return // keep the existing route when origins are unusable
+	nw, old := &d.cands[c], &d.cands[cur]
+	if nw.asSet != nil || old.asSet != nil {
+		return
 	}
-	preferNew := (monIdx%2 == 0) == (newOrigin < oldOrigin)
-	if preferNew {
-		rib.Insert(r)
+	if (monIdx%2 == 0) == (nw.origin < old.origin) {
+		d.winner[s] = c
 	}
 }
 
-func (rs *RoutingSim) routeFor(a announcement, peerAS ASN) bgp.Route {
-	transit := rs.transit[a.origin]
-	if transit == 0 {
-		transit = 1299
+// transitOf returns the origin's upstream, defaulting to AS1299.
+func (rs *RoutingSim) transitOf(origin ASN) ASN {
+	if t := rs.transit[origin]; t != 0 {
+		return t
 	}
-	path := bgp.NewPath(peerAS, transit, a.origin)
+	return 1299
+}
+
+// pathBuf backs the AS path of one route, so the survey pass can check a
+// route without allocating it.
+type pathBuf struct {
+	seq  [3]ASN
+	segs [2]bgp.PathSegment
+}
+
+// route returns the route monitor peerAS holds for the announcement:
+// peer, transit, origin, then the AS_SET when the announcement
+// aggregates. Its path aliases buf.
+func (a *announcement) route(peerAS ASN, buf *pathBuf) bgp.Route {
+	buf.seq = [3]ASN{peerAS, a.transit, a.origin}
+	buf.segs[0] = bgp.PathSegment{Type: bgp.SegmentSequence, ASNs: buf.seq[:]}
+	path := bgp.ASPath(buf.segs[:1])
 	if a.asSet != nil {
-		path = path.AppendSet(a.asSet...)
+		buf.segs[1] = bgp.PathSegment{Type: bgp.SegmentSet, ASNs: a.asSet}
+		path = buf.segs[:2]
 	}
 	return bgp.Route{
 		Prefix:  a.prefix,
@@ -354,9 +449,10 @@ func (rs *RoutingSim) routeFor(a announcement, peerAS ASN) bgp.Route {
 }
 
 // CollectorAt materializes collector idx's full state for the day — used
-// to export MRT snapshots identical to what the survey path consumes.
+// to export MRT snapshots. Each peer's RIB holds exactly the routes
+// SurveyAt selects for that monitor, before sanitization.
 func (rs *RoutingSim) CollectorAt(day, idx int) *bgp.Collector {
-	anns, hijacks, hijackMonitors := rs.dayEvents(day)
+	d := rs.dayRoutes(day)
 	spec := rs.collectors[idx]
 	c := bgp.NewCollector(spec.name, spec.id)
 	// Global monitor index of this collector's first peer.
@@ -365,10 +461,14 @@ func (rs *RoutingSim) CollectorAt(day, idx int) *bgp.Collector {
 		base += len(rs.collectors[i].peers)
 	}
 	rng := rs.visRNG(day, idx)
+	var buf pathBuf
 	for p, peer := range spec.peers {
-		i := c.AddPeer(peer)
-		rib := rs.monitorRIB(rng, peer.AS, base+p, anns, hijacks, hijackMonitors)
-		*c.PeerRIB(i) = *rib
+		rib := c.PeerRIB(c.AddPeer(peer))
+		for _, ci := range d.best(rng, base+p) {
+			r := d.cands[ci].route(peer.AS, &buf)
+			r.Path = r.Path.Clone()
+			rib.Insert(r)
+		}
 	}
 	return c
 }

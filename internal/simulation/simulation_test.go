@@ -1,6 +1,10 @@
 package simulation
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -456,6 +460,111 @@ func TestLegacyHolders(t *testing.T) {
 	if found == 0 {
 		t.Error("no legacy announcements visible in BGP")
 	}
+}
+
+// TestSurveyAtMatchesMRTRoundTrip pins the counted survey to the offline
+// pipeline: SurveyAt must equal the survey rebuilt from the simulator's
+// own MRT bytes (CollectorAt → WriteSnapshot → ReadRIBSnapshot →
+// SurveyFromSnapshot) in every count and flag, on a day of each kind of
+// routing noise.
+func TestSurveyAtMatchesMRTRoundTrip(t *testing.T) {
+	cfg := testConfig()
+	cfg.HijackWaves = []HijackWave{{Window: DayWindow{StartDay: 50, EndDay: 55}, Rate: 20}}
+	w, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewRoutingSim(w)
+	// The world's AS_SET aggregates sit on prefixes nothing else
+	// announces, so no pair would carry the flag. Re-point one onto an
+	// owner-announced allocation: monitors that miss the plain route but
+	// see the aggregate keep the AS_SET route, and the flag reaches Pairs.
+	rs.asSetAggs[0].prefix = rs.anns[0].prefix
+	// The world announces no route sanitization would drop. Make two
+	// dirty: a private-use origin (dropped everywhere) and an origin equal
+	// to the first monitor's peer AS (an AS-path loop at that monitor only).
+	rs.anns[1].origin = 64512
+	rs.anns[2].origin = rs.collectors[0].peers[0].AS
+
+	firstDay := func(kind string, ok func(day int) bool) int {
+		for day := 0; day < cfg.RoutingDays; day++ {
+			if ok(day) {
+				return day
+			}
+		}
+		t.Fatalf("no %s day in the window", kind)
+		return 0
+	}
+	anyPair := func(day int, ok func(bgp.PrefixOrigin) bool) bool {
+		for _, po := range rs.SurveyAt(day).Pairs() {
+			if ok(po) {
+				return true
+			}
+		}
+		return false
+	}
+	days := []struct {
+		kind string
+		day  int
+	}{
+		{"scrub", firstDay("scrub", func(day int) bool {
+			scrubbed := rs.ScrubbedPrefixesOn(day)
+			return len(scrubbed) > 0 && anyPair(day, func(po bgp.PrefixOrigin) bool { return po.Prefix == scrubbed[0] })
+		})},
+		{"moas_lease", firstDay("MOAS lease", func(day int) bool {
+			for l := range rs.moasLeases {
+				if l.AnnouncedOn(day) {
+					return anyPair(day, func(po bgp.PrefixOrigin) bool { return po.MOAS && po.Prefix == l.Child })
+				}
+			}
+			return false
+		})},
+		{"as_set", firstDay("AS_SET", func(day int) bool {
+			return anyPair(day, func(po bgp.PrefixOrigin) bool { return po.ASSet })
+		})},
+		{"hijack_wave", firstDay("hijack-wave", func(day int) bool {
+			_, hijacks, _ := rs.dayEvents(day)
+			return cfg.HijackWaves[0].Window.Contains(day) && len(hijacks) >= 10
+		})},
+	}
+	for _, tc := range days {
+		t.Run(tc.kind, func(t *testing.T) {
+			direct := rs.SurveyAt(tc.day)
+			decoded := bgp.NewOriginSurvey()
+			for ci := 0; ci < rs.NumCollectors(); ci++ {
+				c := rs.CollectorAt(tc.day, ci)
+				var buf bytes.Buffer
+				if err := c.WriteSnapshot(&buf, cfg.RoutingStart.AddDate(0, 0, tc.day)); err != nil {
+					t.Fatal(err)
+				}
+				peers, entries, err := bgp.ReadRIBSnapshot(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bgp.SurveyFromSnapshot(c.Name, peers, entries, decoded)
+			}
+			if direct.NumMonitors() != decoded.NumMonitors() {
+				t.Fatalf("day %d: monitors %d, decoded %d", tc.day, direct.NumMonitors(), decoded.NumMonitors())
+			}
+			p1, p2 := direct.Pairs(), decoded.Pairs()
+			if !slices.Equal(p1, p2) {
+				t.Fatalf("day %d: %d pairs, decoded %d; first difference %v", tc.day, len(p1), len(p2), firstDiff(p1, p2))
+			}
+			if !reflect.DeepEqual(direct.RawPairs(), decoded.RawPairs()) {
+				t.Fatalf("day %d: raw pairs differ", tc.day)
+			}
+		})
+	}
+}
+
+// firstDiff returns the first position where two pair lists disagree.
+func firstDiff(a, b []bgp.PrefixOrigin) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("%+v vs %+v", a[i], b[i])
+		}
+	}
+	return "length"
 }
 
 // TestROVFiltersHijacks: with full RPKI deployment, route origin

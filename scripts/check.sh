@@ -20,8 +20,10 @@
 #                   name so a -run filter or skip in the suite can never
 #                   silently drop them: a snapshot (and Figure 6) built
 #                   at any worker count must be byte-identical to the
-#                   serial build; TestBench*JSONParses keep the
-#                   BENCH_build/serve baselines well-formed
+#                   serial build; TestBuildAllocRegression holds the
+#                   serial build to its bytes/op and allocs/op budget;
+#                   TestBench*JSONParses keep the BENCH_build/serve
+#                   baselines well-formed
 #   store         — the durability contracts, run explicitly and by
 #                   name: segment round-trip + corrupt-tail recovery
 #                   (internal/store fault injection), and warm-start/
@@ -146,7 +148,7 @@ gate_docs() {
 
 gate_determinism() {
     go test -race -count=1 \
-        -run 'TestBuildSnapshotDeterministic|TestBenchBuildJSONParses|TestBenchServeJSONParses' \
+        -run 'TestBuildSnapshotDeterministic|TestBuildAllocRegression|TestBenchBuildJSONParses|TestBenchServeJSONParses' \
         ./internal/serve
     go test -race -count=1 \
         -run 'TestFigure6WorkersDeterministic|TestFigure2WorkersMatchesSerial' \
