@@ -88,11 +88,16 @@ func (s *Server) temporalForRequest(w http.ResponseWriter, q url.Values) (*tempo
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return nil, 0, false
 	}
-	if pg.temporal == nil {
+	ix, err := pg.index()
+	switch {
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("serve: generation %d: restore temporal index: %v", gen, err))
+		return nil, 0, false
+	case ix == nil:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d has no temporal index (persisted before as-of serving)", gen))
 		return nil, 0, false
 	}
-	return pg.temporal, gen, true
+	return ix, gen, true
 }
 
 // parseAsofDate validates a date parameter against the index's epoch:

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -305,6 +307,86 @@ func TestAsofPinnedGeneration(t *testing.T) {
 	}
 	if bytes.Equal(liveBody, gen1["/v1/asof/diff?from=2015-01-01&to=2015-12-31"].body) {
 		t.Fatal("reseeded rebuild produced an identical diff document; test cannot distinguish generations")
+	}
+}
+
+// TestPinnedGenerationRestoresIndexLazily: a static ?gen=N pin decodes
+// the generation's artifacts but leaves its temporal index as the stored
+// record; the first asof pins restore it once, shared by concurrent
+// requests, and answer byte- and ETag-identically to what the generation
+// served live.
+func TestPinnedGenerationRestoresIndexLazily(t *testing.T) {
+	cfg := testConfig()
+	srv, err := New(cfg, Options{Store: openStore(t, t.TempDir())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const asof = "/v1/asof?date=2019-06-01&prefix=185.0.0.0/16"
+	live, liveBody := get(t, ts, asof)
+	if live.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d", asof, live.StatusCode)
+	}
+	if !srv.RebuildAsync(srv.rebuildConfig(cfg.Seed+99, true)) {
+		t.Fatal("rebuild not started")
+	}
+	srv.Wait()
+
+	cachedGen1 := func() *pinnedGen {
+		srv.gens.mu.Lock()
+		defer srv.gens.mu.Unlock()
+		return srv.gens.entries[1]
+	}
+	if resp, body := get(t, ts, "/v1/table1?gen=1"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/table1?gen=1: status %d body %s", resp.StatusCode, body)
+	}
+	pg := cachedGen1()
+	if pg == nil {
+		t.Fatal("static pin did not cache generation 1")
+	}
+	if pg.temporal != nil || pg.record == nil {
+		t.Fatal("static pin restored the temporal index")
+	}
+
+	type answer struct {
+		status int
+		etag   string
+		body   []byte
+		err    error
+	}
+	answers := make([]answer, 4)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func(a *answer) {
+			defer wg.Done()
+			resp, err := ts.Client().Get(ts.URL + asof + "&gen=1")
+			if err != nil {
+				a.err = err
+				return
+			}
+			defer resp.Body.Close()
+			a.status, a.etag = resp.StatusCode, resp.Header.Get("ETag")
+			a.body, a.err = io.ReadAll(resp.Body)
+		}(&answers[i])
+	}
+	wg.Wait()
+	for i, a := range answers {
+		switch {
+		case a.err != nil:
+			t.Fatalf("pin %d: %v", i, a.err)
+		case a.status != http.StatusOK:
+			t.Fatalf("pin %d: status %d body %s", i, a.status, a.body)
+		case !bytes.Equal(a.body, liveBody):
+			t.Errorf("pin %d: body differs from what generation 1 served live", i)
+		case a.etag != live.Header.Get("ETag"):
+			t.Errorf("pin %d: ETag %q, want %q", i, a.etag, live.Header.Get("ETag"))
+		}
+	}
+	if got := cachedGen1(); got != pg || pg.temporal == nil || pg.record != nil {
+		t.Error("asof pins did not restore the cached generation's index in place")
 	}
 }
 

@@ -72,12 +72,32 @@ func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request) {
 }
 
 // pinnedGen is one past generation decoded for ?gen= reads: the static
-// artifact map, plus the restored temporal index behind pinned /v1/asof
-// queries (nil for generations persisted before as-of serving existed —
-// those answer 404 on asof, never a nil dereference).
+// artifact map, plus the temporal index behind pinned /v1/asof queries.
+// The index is restored from its persisted record on the first asof pin
+// of the generation, once, and shared by every later and concurrent pin;
+// static pins never pay for it. A generation persisted before as-of
+// serving existed has neither record nor index and answers 404 on asof,
+// never a nil dereference.
 type pinnedGen struct {
-	static   map[string]*artifact
-	temporal *temporal.Index
+	static map[string]*artifact
+
+	restore     sync.Once
+	record      []byte // the temporal state, until restored
+	temporal    *temporal.Index
+	temporalErr error
+}
+
+// index returns the generation's temporal index, restoring it on first
+// use; nil with a nil error when the generation has none.
+func (pg *pinnedGen) index() (*temporal.Index, error) {
+	pg.restore.Do(func() {
+		if pg.record == nil {
+			return
+		}
+		pg.temporal, pg.temporalErr = temporal.Restore(pg.record)
+		pg.record = nil
+	})
+	return pg.temporal, pg.temporalErr
 }
 
 // genCache keeps recently loaded past generations decoded in memory so
@@ -150,13 +170,7 @@ func (s *Server) pinnedGen(gen uint64) (*pinnedGen, error) {
 		if err != nil {
 			return nil, err
 		}
-		pg := &pinnedGen{static: static}
-		if data, ok := aux[stateTemporal]; ok {
-			if pg.temporal, err = temporal.Restore(data); err != nil {
-				return nil, fmt.Errorf("serve: generation %d: restore temporal index: %w", gen, err)
-			}
-		}
-		return pg, nil
+		return &pinnedGen{static: static, record: aux[stateTemporal]}, nil
 	})
 }
 

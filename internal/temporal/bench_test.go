@@ -118,9 +118,9 @@ func TestPointLookupSublinear(t *testing.T) {
 }
 
 // BenchmarkIndexAt measures point lookups at 1× and ≥10× the default
-// world's event volume (the default simulation yields ≈5.7k events:
-// 3,743 transfers + 2·990 lease boundaries). The "x10" size is the
-// acceptance benchmark: ~60k events.
+// world's event volume (the default simulation yields 4,986 events: 3,743
+// transfers plus the starts and ends of 990 leases, in 217 epochs). The
+// "x10" size is the acceptance benchmark: ~60k events.
 func BenchmarkIndexAt(b *testing.B) {
 	for _, sc := range []struct {
 		name                      string
@@ -162,5 +162,46 @@ func BenchmarkIndexBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestIndexBuildAllocRegression holds New and Restore at the x1 synthetic
+// history to their allocation budgets. Delegation epochs share one id
+// slab; storing each lease once per overlapping epoch in a per-epoch
+// prefix trie costs ~29 MB / 580k allocs for New and ~33 MB / 617k for
+// Restore here, and trips both budgets.
+func TestIndexBuildAllocRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark-backed regression check in -short mode")
+	}
+	in := synthInput(t, 800, 4, 1000)
+	rec, err := mustNew(t, in).Record()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		maxBytes  int64
+		maxAllocs int64
+		run       func() error
+	}{
+		{"New", 8 << 20, 64_000, func() error { _, err := New(in); return err }},
+		{"Restore", 12 << 20, 80_000, func() error { _, err := Restore(rec); return err }},
+	} {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > c.maxBytes {
+			t.Errorf("%s: %d bytes/op, budget %d", c.name, got, c.maxBytes)
+		}
+		if got := res.AllocsPerOp(); got > c.maxAllocs {
+			t.Errorf("%s: %d allocs/op, budget %d", c.name, got, c.maxAllocs)
+		}
+		t.Logf("%s: %d bytes/op, %d allocs/op over %d ops", c.name, res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N)
 	}
 }

@@ -71,14 +71,17 @@ func (ix *Index) at(p netblock.Prefix, d time.Time, probe func()) PointResult {
 		}
 	}
 
-	if len(ix.delegs) > 0 {
-		e := &ix.epochs[lastStartAtOrBeforeProbed(ix.epochStarts, d, probe)]
-		for _, entry := range e.delegs.Covering(p) {
+	e := ix.epochs[lastStartAtOrBefore(ix.epochStarts, d, probe)]
+	if ids := ix.epochIDs[e.lo:e.hi]; len(ids) > 0 {
+		// Exact and covering: each child covering p owns one contiguous
+		// range of delegs, so its ids in this epoch are one run of ids.
+		for _, entry := range ix.delegTrie.Covering(p) {
 			if probe != nil {
 				probe()
 			}
-			for _, id := range entry.Value {
-				ds := ix.delegs[id]
+			rng := entry.Value
+			for k := searchIDs(ids, func(id int32) bool { return id >= rng.lo }, probe); k < len(ids) && ids[k] < rng.hi; k++ {
+				ds := ix.delegs[ids[k]]
 				if !ds.ActiveOn(d) {
 					continue
 				}
@@ -89,18 +92,16 @@ func (ix *Index) at(p netblock.Prefix, d time.Time, probe func()) PointResult {
 				}
 			}
 		}
-		for _, entry := range e.delegs.CoveredBy(p) {
-			if probe != nil {
-				probe()
+		// Covered: the children inside p are contiguous in Compare order,
+		// starting at the first child not ordered before p.
+		k := searchIDs(ids, func(id int32) bool { return ix.delegs[id].Child.Compare(p) >= 0 }, probe)
+		for ; k < len(ids); k++ {
+			ds := ix.delegs[ids[k]]
+			if !p.Covers(ds.Child) {
+				break
 			}
-			if entry.Prefix == p {
-				continue // already in Exact
-			}
-			for _, id := range entry.Value {
-				ds := ix.delegs[id]
-				if ds.ActiveOn(d) {
-					res.Covered = append(res.Covered, ds)
-				}
+			if ds.Child != p && ds.ActiveOn(d) { // p itself is in Exact
+				res.Covered = append(res.Covered, ds)
 			}
 		}
 	}
@@ -143,8 +144,21 @@ func lastSpanStarting(spans []Span, rng spanRange, d time.Time, probe func()) in
 	return lo + n - 1
 }
 
-// lastStartAtOrBeforeProbed is lastStartAtOrBefore with probe counting.
-func lastStartAtOrBeforeProbed(starts []time.Time, d time.Time, probe func()) int {
+// searchIDs is sort.Search over an epoch's ids, with probe counting.
+func searchIDs(ids []int32, pred func(int32) bool, probe func()) int {
+	return sort.Search(len(ids), func(k int) bool {
+		if probe != nil {
+			probe()
+		}
+		return pred(ids[k])
+	})
+}
+
+// lastStartAtOrBefore returns the index of the last element of starts that
+// is not after d, calling probe (when non-nil) once per search step;
+// starts[0] is the epoch start, so the result is >= 0 for any in-range
+// date.
+func lastStartAtOrBefore(starts []time.Time, d time.Time, probe func()) int {
 	i := sort.Search(len(starts), func(j int) bool {
 		if probe != nil {
 			probe()
@@ -222,26 +236,27 @@ func NaiveAt(in Input, p netblock.Prefix, d time.Time) PointResult {
 	// The governing block: the longest prefix with an allocation record
 	// that equals or covers p (transfer prefixes always have one too).
 	best, found := netblock.Prefix{}, false
-	for _, a := range in.Allocations {
-		if a.Prefix.Covers(p) && (!found || a.Prefix.Bits() > best.Bits()) {
-			best, found = a.Prefix, true
+	for i := range in.Allocations {
+		if a := in.Allocations[i].Prefix; a.Covers(p) && (!found || a.Bits() > best.Bits()) {
+			best, found = a, true
 		}
 	}
 	if found {
 		res.Holder = naiveHolder(in, best, d)
 	}
 
-	for _, l := range in.Leases {
+	for i := range in.Leases {
+		l := &in.Leases[i]
 		if !l.activeOn(d) {
 			continue
 		}
 		switch {
 		case l.Child == p:
-			res.Exact = append(res.Exact, DelegationSpan(l))
+			res.Exact = append(res.Exact, DelegationSpan(*l))
 		case l.Child.Covers(p):
-			res.Covering = append(res.Covering, DelegationSpan(l))
+			res.Covering = append(res.Covering, DelegationSpan(*l))
 		case p.Covers(l.Child):
-			res.Covered = append(res.Covered, DelegationSpan(l))
+			res.Covered = append(res.Covered, DelegationSpan(*l))
 		}
 	}
 	return res
@@ -256,16 +271,16 @@ func (l LeaseRecord) activeOn(d time.Time) bool {
 // holder at d, or nil when the block was not yet held.
 func naiveHolder(in Input, block netblock.Prefix, d time.Time) *HolderState {
 	var alloc AllocationRecord
-	for _, a := range in.Allocations {
-		if a.Prefix == block {
-			alloc = a
+	for i := range in.Allocations {
+		if in.Allocations[i].Prefix == block {
+			alloc = in.Allocations[i]
 			break
 		}
 	}
 	var chain []TransferRecord
-	for _, t := range in.Transfers {
-		if t.Prefix.Covers(block) {
-			chain = append(chain, t)
+	for i := range in.Transfers {
+		if in.Transfers[i].Prefix.Covers(block) {
+			chain = append(chain, in.Transfers[i])
 		}
 	}
 	if len(chain) == 0 {

@@ -15,10 +15,12 @@
 // one contiguous date-sorted slice — each prefix owns a half-open range of
 // that slice, found by trie lookup and binary-searched by date (the
 // interval-tree role; spans of one prefix tile time, so "last span starting
-// on or before D" is the holder at D). Delegation spans are partitioned
-// into per-epoch tries: epoch boundaries are drawn from delegation
-// start/end dates, a date binary-searches to its epoch, and the epoch's
-// trie holds only the delegations overlapping that epoch.
+// on or before D" is the holder at D). Delegation spans are sorted by child
+// prefix and partitioned into epochs: epoch boundaries are drawn from
+// delegation start/end dates, a date binary-searches to its epoch, and the
+// epoch owns a range of one shared id slab listing, in child order, only
+// the delegations overlapping that epoch. A query binary-searches that
+// range for each covering child and for the first covered one.
 package temporal
 
 import (
@@ -167,22 +169,13 @@ type QuarterPrices struct {
 	MaxPrice  float64
 }
 
-// spanRange is a half-open index range [lo, hi) into a shared span slice.
+// spanRange is a half-open index range [lo, hi) into a shared slice.
 type spanRange struct{ lo, hi int32 }
-
-// epoch is one partition of the delegation time axis: [start, end), with a
-// trie from child prefix to the indexes (into Index.delegs) of every
-// delegation span overlapping the epoch.
-type epoch struct {
-	start  time.Time
-	end    time.Time // zero for the last epoch
-	delegs *netblock.Trie[[]int32]
-}
 
 // maxEpochs caps the number of delegation epochs; beyond it, epochs absorb
 // multiple boundary dates and queries date-filter within the epoch. It
-// bounds build cost (a span is inserted once per epoch it overlaps) while
-// keeping per-epoch candidate lists short.
+// bounds the id slab (a span's id is stored once per epoch it overlaps)
+// while keeping per-epoch candidate lists short.
 const maxEpochs = 256
 
 // Index is the immutable as-of index. Build it with New (or Restore) and
@@ -193,10 +186,16 @@ type Index struct {
 	spans      []Span // grouped by prefix (Compare order), date-sorted within
 	holderTrie *netblock.Trie[spanRange]
 
-	delegs      []DelegationSpan // sorted by (child, start, end, parent, AS pair)
-	delegTrie   *netblock.Trie[spanRange]
-	epochs      []epoch
-	epochStarts []time.Time // epochs[i].start, for binary search
+	delegs    []DelegationSpan // sorted by (child, start, end, parent, AS pair)
+	delegTrie *netblock.Trie[spanRange]
+
+	// Epoch i covers [epochStarts[i], epochStarts[i+1]); the last is open.
+	// epochs[i] is its range of epochIDs: the index (into delegs) of every
+	// delegation span overlapping the epoch, ascending. delegs is sorted by
+	// child, so each range is in child (Compare) order too.
+	epochStarts []time.Time
+	epochs      []spanRange
+	epochIDs    []int32
 
 	events   []Event
 	quarters []QuarterPrices
@@ -354,8 +353,10 @@ func (ix *Index) buildSpans() error {
 	}
 	used := make([]bool, len(in.Transfers))
 
-	// Allocations are sorted and unique after normalize.
+	// Allocations are sorted and unique after normalize. Each allocation
+	// opens one span and each transfer usually adds one to one block.
 	ix.holderTrie = netblock.NewTrie[spanRange]()
+	ix.spans = make([]Span, 0, len(in.Allocations)+len(in.Transfers))
 	for _, a := range in.Allocations {
 		p := a.Prefix
 		var chain []int32
@@ -422,9 +423,10 @@ func viaOf(typ string) Acquisition {
 }
 
 // buildDelegations materializes the delegation spans, the global child
-// trie, and the per-epoch partition tries.
+// trie, and the per-epoch ranges of the shared id slab.
 func (ix *Index) buildDelegations() {
 	ix.delegTrie = netblock.NewTrie[spanRange]()
+	ix.delegs = make([]DelegationSpan, 0, len(ix.in.Leases))
 	for _, l := range ix.in.Leases {
 		ix.delegs = append(ix.delegs, DelegationSpan{
 			Parent: l.Parent, Child: l.Child,
@@ -443,7 +445,7 @@ func (ix *Index) buildDelegations() {
 
 	// Epoch boundaries: every distinct delegation start/end inside the
 	// epoch, thinned to at most maxEpochs partitions.
-	var bounds []time.Time
+	bounds := make([]time.Time, 0, 2*len(ix.delegs))
 	for _, d := range ix.delegs {
 		if d.Start.After(ix.in.Start) {
 			bounds = append(bounds, d.Start)
@@ -467,38 +469,45 @@ func (ix *Index) buildDelegations() {
 	for i := stride - 1; i < len(dedup); i += stride {
 		ix.epochStarts = append(ix.epochStarts, dedup[i])
 	}
-	for i, start := range ix.epochStarts {
-		e := epoch{start: start, delegs: netblock.NewTrie[[]int32]()}
-		if i+1 < len(ix.epochStarts) {
-			e.end = ix.epochStarts[i+1]
-		}
-		ix.epochs = append(ix.epochs, e)
-	}
-	for i, d := range ix.delegs {
-		lo := lastStartAtOrBefore(ix.epochStarts, d.Start)
-		hi := len(ix.epochs) - 1
-		if !d.End.IsZero() {
-			// The span is dead in epochs starting at or after its end.
-			hi = sort.Search(len(ix.epochStarts), func(j int) bool {
-				return !ix.epochStarts[j].Before(d.End)
-			}) - 1
-		}
+
+	// Two passes fill the shared id slab: count the spans overlapping each
+	// epoch, prefix-sum the counts into ranges, then store each span's id
+	// in every epoch it overlaps. Spans are visited in delegs order, so
+	// every epoch's ids come out ascending.
+	next := make([]int32, len(ix.epochStarts)+1)
+	for _, d := range ix.delegs {
+		lo, hi := ix.epochsOverlapping(d)
 		for e := lo; e <= hi; e++ {
-			ids, _ := ix.epochs[e].delegs.Get(d.Child)
-			ix.epochs[e].delegs.Insert(d.Child, append(ids, int32(i)))
+			next[e+1]++
+		}
+	}
+	ix.epochs = make([]spanRange, len(ix.epochStarts))
+	for e := range ix.epochs {
+		next[e+1] += next[e]
+		ix.epochs[e] = spanRange{next[e], next[e+1]}
+	}
+	ix.epochIDs = make([]int32, next[len(ix.epochs)])
+	for i, d := range ix.delegs {
+		lo, hi := ix.epochsOverlapping(d)
+		for e := lo; e <= hi; e++ {
+			ix.epochIDs[next[e]] = int32(i)
+			next[e]++
 		}
 	}
 }
 
-// lastStartAtOrBefore returns the index of the last element of starts that
-// is not after d; starts[0] is the epoch start, so the result is >= 0 for
-// any in-range date.
-func lastStartAtOrBefore(starts []time.Time, d time.Time) int {
-	i := sort.Search(len(starts), func(j int) bool { return starts[j].After(d) }) - 1
-	if i < 0 {
-		i = 0
+// epochsOverlapping returns the first and last epoch a delegation span
+// overlaps.
+func (ix *Index) epochsOverlapping(d DelegationSpan) (lo, hi int) {
+	lo = lastStartAtOrBefore(ix.epochStarts, d.Start, nil)
+	hi = len(ix.epochStarts) - 1
+	if !d.End.IsZero() {
+		// The span is dead in epochs starting at or after its end.
+		hi = sort.Search(len(ix.epochStarts), func(j int) bool {
+			return !ix.epochStarts[j].Before(d.End)
+		}) - 1
 	}
-	return i
+	return lo, hi
 }
 
 // buildEvents merges transfers and delegation starts/ends into one

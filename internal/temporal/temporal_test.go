@@ -478,3 +478,68 @@ func TestIndexMatchesNaiveReplay(t *testing.T) {
 	}
 	t.Logf("verified %d (prefix, date) pairs", len(pairs))
 }
+
+// TestThinnedEpochsMatchNaiveReplay covers what the real-world property
+// test cannot: its history has few enough delegation boundaries that every
+// boundary starts its own epoch. Here the synthetic history has more
+// boundaries than maxEpochs, so epochs absorb several boundary dates and
+// At must date-filter within an epoch. Every event boundary (and a day
+// either side) is probed with the event's own prefix and with the /8,
+// /16, /20, /24 and /28 around its address. The leases are /24s, so those
+// queries meet exact, covered (from the shorter prefixes) and covering
+// (from the /28) delegations, all compared against a naive replay.
+func TestThinnedEpochsMatchNaiveReplay(t *testing.T) {
+	ix := mustNew(t, synthInput(t, 800, 4, 1000))
+	in := ix.Input()
+
+	bounds := make(map[time.Time]bool)
+	for _, l := range in.Leases {
+		bounds[l.Start], bounds[l.End] = true, true
+	}
+	if ix.EpochCount() >= len(bounds) {
+		t.Fatalf("%d epochs for %d boundary dates: fixture is not thinned", ix.EpochCount(), len(bounds))
+	}
+
+	type pair struct {
+		p netblock.Prefix
+		d time.Time
+	}
+	seen := make(map[pair]bool)
+	var exact, covering, covered int
+	for _, e := range ix.Diff(in.Start.AddDate(0, 0, -1), in.End) {
+		prefixes := []netblock.Prefix{e.Prefix}
+		for _, bits := range []int{8, 16, 20, 24, 28} {
+			p, err := netblock.PrefixFrom(e.Prefix.Addr(), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefixes = append(prefixes, p)
+		}
+		for _, d := range []time.Time{e.Date.AddDate(0, 0, -1), e.Date, e.Date.AddDate(0, 0, 1)} {
+			if d.Before(in.Start) || !d.Before(in.End) {
+				continue
+			}
+			for _, p := range prefixes {
+				if seen[pair{p, d}] {
+					continue
+				}
+				seen[pair{p, d}] = true
+				got := canonicalize(ix.At(p, d))
+				want := canonicalize(NaiveAt(in, p, d))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("At(%v, %s) diverges from naive replay:\n  index: %+v\n  naive: %+v",
+						p, fmtDay(d), got, want)
+				}
+				exact += len(got.Exact)
+				covering += len(got.Covering)
+				covered += len(got.Covered)
+			}
+		}
+	}
+	if exact == 0 || covering == 0 || covered == 0 {
+		t.Fatalf("probes found %d exact, %d covering, %d covered delegations: every kind must be exercised",
+			exact, covering, covered)
+	}
+	t.Logf("verified %d (prefix, date) pairs over %d epochs: %d exact, %d covering, %d covered",
+		len(seen), ix.EpochCount(), exact, covering, covered)
+}

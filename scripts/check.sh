@@ -31,12 +31,15 @@
 #                   ETag-identical responses across a restart)
 #   asof          — the time-travel contracts, run explicitly and by
 #                   name: the temporal index agrees with a naive replay
-#                   over every event boundary, point lookups stay
-#                   sublinear, Record/Restore round-trips byte-exactly
+#                   over every event boundary (also with epochs thinned
+#                   below the boundary count), point lookups stay
+#                   sublinear, TestIndexBuildAllocRegression holds New
+#                   and Restore to their bytes/op and allocs/op budget,
+#                   Record/Restore round-trips byte-exactly
 #                   and input-order-independently, and the /v1/asof
 #                   surface validates requests, restores identical
-#                   views, and answers generation pins from restored
-#                   temporal state
+#                   views, and answers generation pins from temporal
+#                   state restored on the generation's first asof pin
 #   smoke         — build the serving daemon, boot it on an ephemeral
 #                   loopback port, and query every endpoint through a
 #                   real HTTP client (marketd -selfcheck does the full
@@ -166,10 +169,10 @@ gate_store() {
 
 gate_asof() {
     go test -race -count=1 \
-        -run 'TestIndexMatchesNaiveReplay|TestPointLookupSublinear|TestRecordRestoreRoundTrip|TestNewDeterministicUnderInputOrder' \
+        -run 'TestIndexMatchesNaiveReplay|TestThinnedEpochsMatchNaiveReplay|TestPointLookupSublinear|TestIndexBuildAllocRegression|TestRecordRestoreRoundTrip|TestNewDeterministicUnderInputOrder' \
         ./internal/temporal
     go test -race -count=1 \
-        -run 'TestAsofMatchesNaiveReplay|TestAsofPinnedGeneration|TestAsofRestoreServesIdenticalViews|TestAsofRequestValidation' \
+        -run 'TestAsofMatchesNaiveReplay|TestAsofPinnedGeneration|TestPinnedGenerationRestoresIndexLazily|TestAsofRestoreServesIdenticalViews|TestAsofRequestValidation' \
         ./internal/serve
 }
 
